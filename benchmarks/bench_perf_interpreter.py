@@ -1,13 +1,14 @@
 """Perf-6 — execution substrates: reference interpreter vs compiled
 Python kernels.
 
-The interpreter is the semantic oracle; the fast paths are the bare
-kernel emitter (:func:`repro.ir.emit.compile_nest`) and the
+The interpreter is the semantic oracle; the fast path is the
 trace-faithful engine (:class:`repro.runtime.CompiledNest`, which also
-reproduces the oracle's address traces and schedule hook).  This bench
-measures all of them on the matmul nest (original and tiled) and
-asserts the expected shape: compiled is an order of magnitude faster,
-and everything agrees bit-for-bit.
+reproduces the oracle's address traces and schedule hook), measured
+both through :meth:`CompiledNest.run` and as the bare in-place kernel
+that :func:`repro.ir.emit.emit_python` serves.  This bench measures
+them on the matmul nest (original and tiled) and asserts the expected
+shape: compiled is an order of magnitude faster, and everything agrees
+bit-for-bit.
 """
 
 import random
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core import Block, Transformation
 from repro.deps import depset
-from repro.ir.emit import compile_nest, emit_c
+from repro.ir.emit import emit_c, emit_python
 from repro.runtime import CompiledNest, Interpreter, run_nest
 
 from benchmarks.conftest import random_square
@@ -52,7 +53,9 @@ def test_interpreter_matmul(report, benchmark, matmul_inputs):
 
 def test_compiled_matmul(report, benchmark, matmul_inputs):
     nest, B, C = matmul_inputs
-    fn = compile_nest(nest, ["A", "B", "C"])
+    namespace = {}
+    exec(emit_python(nest), namespace)
+    fn = namespace["kernel"]
 
     def run():
         arrays = {"A": defaultdict(int),
@@ -72,20 +75,14 @@ def test_compiled_tiled_matmul(report, benchmark, matmul_inputs):
     nest, B, C = matmul_inputs
     tiled = Transformation.of(Block(3, 1, 3, [4, 4, 4])).apply(
         nest, depset((0, 0, "+")))
-    fn = compile_nest(tiled, ["A", "B", "C"])
+    engine = CompiledNest(tiled, symbols={"n": N})
+    arrays = {"B": B, "C": C}
+    engine.run(arrays)  # compile outside the timed region
 
-    def run():
-        arrays = {"A": defaultdict(int),
-                  "B": defaultdict(int, B.data),
-                  "C": defaultdict(int, C.data)}
-        fn(arrays, {"n": N})
-        return arrays
-
-    arrays = benchmark(run)
-    expected = run_nest(nest, {"B": B, "C": C}, symbols={"n": N})
-    for key, value in expected.arrays["A"].data.items():
-        assert arrays["A"][key] == value
-    report("Perf-6: compiled tiled kernel", "matches the interpreter")
+    result = benchmark(engine.run, arrays)
+    expected = run_nest(nest, arrays, symbols={"n": N})
+    assert result.arrays["A"] == expected.arrays["A"]
+    report("Perf-6: compiled tiled engine", "matches the interpreter")
 
 
 def test_compiled_engine_matmul(report, benchmark, matmul_inputs):

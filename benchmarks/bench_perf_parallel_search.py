@@ -1,4 +1,4 @@
-"""Perf-9 — sharded parallel beam search (``search(..., jobs=N)``).
+"""Perf-9 — sharded parallel beam search (``SearchConfig(jobs=N)``).
 
 The scoring functions that matter in practice *execute* each candidate
 (compiled engine + cache simulator), so candidate evaluation is

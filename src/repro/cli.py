@@ -101,16 +101,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.core import BoundsMatrix, Transformation
 from repro.core.bounds_matrix import LB, STEP, UB
-# The step mini-language lives in repro.core.spec (it is shared wire
-# format, not CLI detail); these re-exports keep the historical
-# ``from repro.cli import parse_steps`` spelling working.
-from repro.core.spec import (  # noqa: F401  (re-exported)
-    SpecError,
-    build_step,
-    parse_call as _parse_call,
-    parse_steps,
-    split_calls as _split_calls,
-)
+from repro.core.spec import parse_steps
 from repro.deps.analysis import analyze
 from repro.ir import parse_nest
 from repro.ir.emit import emit_c, emit_python
@@ -197,8 +188,7 @@ def cmd_transform(args) -> int:
     if args.emit == "c":
         print(emit_c(out))
     elif args.emit == "python":
-        from repro.deps.analysis.references import inferred_array_names
-        print(emit_python(out, sorted(inferred_array_names(out))))
+        print(emit_python(out))
     elif args.emit == "pretty":
         from repro.ir.pretty_temps import pretty_with_temps
         print(pretty_with_temps(out))

@@ -1,4 +1,4 @@
-"""The sharded process pool behind ``search(..., jobs=N)``.
+"""The sharded process pool behind ``SearchConfig(jobs=N)``.
 
 Lifecycle: one :class:`ShardedPool` per search call — or, for a
 long-lived caller such as the transformation service, one pool

@@ -11,7 +11,7 @@ are additionally bit-for-bit on traces.
 """
 
 from repro.runtime.arrays import Array
-from repro.runtime.compiled import CompiledNest, compile_loopnest, run_compiled
+from repro.runtime.compiled import CompiledNest, run_compiled
 from repro.runtime.interpreter import (
     ExecutionResult,
     Interpreter,
@@ -59,7 +59,7 @@ def resolve_engine(name: str):
 
 __all__ = [
     "Array", "ExecutionResult", "Interpreter", "Schedule", "run_nest",
-    "CompiledNest", "compile_loopnest", "run_compiled",
+    "CompiledNest", "run_compiled",
     "VectorizedNest", "VectorizedNestCache", "numpy_available",
     "run_vectorized", "ENGINE_NAMES", "resolve_engine",
     "OracleFailure", "check_dependence_order", "check_equivalence",

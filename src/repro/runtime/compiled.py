@@ -49,21 +49,34 @@ from repro.resilience import chaos as _chaos
 from repro.resilience import guards as _guards
 from repro.runtime.arrays import Array
 from repro.runtime.interpreter import ExecutionResult, Schedule
-from repro.util.errors import CodegenError, ReproError
-from repro.util.intmath import sign
+from repro.util.errors import CodegenError
 
 _RELATIONAL = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=="}
 
 
-def _sgn_once(*xs: int) -> int:
-    """Single-evaluation ``sgn``; like the interpreter, extra args are
-    evaluated but ignored."""
-    return sign(xs[0])
+#: Helpers the generated kernels reference.  Kept as source so that
+#: :func:`repro.ir.emit.emit_python` serves this same text in front of
+#: the kernel; the engine executes it once and seeds every variant's
+#: ``exec`` namespace from the result.
+PRELUDE = '''\
+from repro.util.errors import ReproError as _ReproError
 
 
-def _fst(*xs: int) -> int:
-    """First argument (interpreter's ``abs``/``sgn`` arity behaviour)."""
+def _sgn(*xs):
+    """Single-evaluation ``sgn``; like the interpreter, extra arguments
+    are evaluated but ignored."""
+    x = xs[0]
+    return 1 if x > 0 else (-1 if x < 0 else 0)
+
+
+def _fst(*xs):
+    """First argument (the interpreter's ``abs``/``sgn`` arity
+    behaviour)."""
     return xs[0]
+'''
+
+_PRELUDE_NAMESPACE: Dict[str, object] = {}
+exec(compile(PRELUDE, "<repro:prelude>", "exec"), _PRELUDE_NAMESPACE)
 
 
 def _is_builtin_call(func: str, arity: int) -> bool:
@@ -241,13 +254,20 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _free_var_names(nest: LoopNest) -> Set[str]:
-    """Every plain-variable name the nest evaluates (Var nodes only)."""
-    out: Set[str] = set()
+def _names(nest: LoopNest) -> Tuple[Set[str], Set[Tuple[str, int]],
+                                     Set[str]]:
+    """One walk over the nest: every plain-variable name it evaluates
+    (Var nodes only), every ``(callee, arity)`` pair, and every scalar
+    an init statement assigns."""
+    names: Set[str] = set()
+    calls: Set[Tuple[str, int]] = set()
+    assigned: Set[str] = set()
 
     def scan(e: Expr) -> None:
         if isinstance(e, Var):
-            out.add(e.name)
+            names.add(e.name)
+        elif isinstance(e, Call):
+            calls.add((e.func, len(e.args)))
         for c in children(e):
             scan(c)
 
@@ -260,47 +280,17 @@ def _free_var_names(nest: LoopNest) -> Set[str]:
             scan(s.cond)
             visit(s.then)
         elif isinstance(s, InitStmt):
+            assigned.add(s.var)
             scan(s.expr)
 
     for lp in nest.loops:
         for e in (lp.lower, lp.upper, lp.step):
             scan(e)
     for init in nest.inits:
-        scan(init.expr)
+        visit(init)
     for s in nest.body:
         visit(s)
-    return out
-
-
-def _calls(nest: LoopNest) -> Set[Tuple[str, int]]:
-    """Every ``(callee, arity)`` pair anywhere in the nest."""
-    out: Set[Tuple[str, int]] = set()
-
-    def scan(e: Expr) -> None:
-        if isinstance(e, Call):
-            out.add((e.func, len(e.args)))
-        for c in children(e):
-            scan(c)
-
-    def visit(s: Statement) -> None:
-        if isinstance(s, Assign):
-            scan(s.expr)
-            for sub in s.target.subscripts:
-                scan(sub)
-        elif isinstance(s, If):
-            scan(s.cond)
-            visit(s.then)
-        elif isinstance(s, InitStmt):
-            scan(s.expr)
-
-    for lp in nest.loops:
-        for e in (lp.lower, lp.upper, lp.step):
-            scan(e)
-    for init in nest.inits:
-        scan(init.expr)
-    for s in nest.body:
-        visit(s)
-    return out
+    return names, calls, assigned
 
 
 class CompiledNest:
@@ -334,7 +324,7 @@ class CompiledNest:
         self.trace_vars = tuple(trace_vars) if trace_vars is not None else None
         self.trace_addresses = trace_addresses
         self.max_iterations = max_iterations
-        self._calls = _calls(nest)
+        self._var_names, self._calls, _ = _names(nest)
         # Interpreter default: a callee that is neither builtin nor a
         # registered function reads a never-written array.
         self._base_arrays = (inferred_array_names(nest) |
@@ -360,8 +350,7 @@ class CompiledNest:
         # anything else stays unbound so a use raises NameError at the
         # same point in execution as the interpreter (a name referenced
         # only inside a zero-trip loop never raises).
-        symbols = sorted(n for n in _free_var_names(self.nest)
-                         if n in self.symbols)
+        symbols = sorted(n for n in self._var_names if n in self.symbols)
         tv = self.trace_vars
         if tv is not None and not tv:
             tv = tuple(self.nest.indices)
@@ -370,11 +359,7 @@ class CompiledNest:
         with _obs.span("compiled.codegen", depth=self.nest.depth,
                        arrays=len(arrays)):
             source = emitter.source(symbols)
-        namespace: Dict[str, object] = {
-            "_ReproError": ReproError,
-            "_sgn": _sgn_once,
-            "_fst": _fst,
-        }
+        namespace = dict(_PRELUDE_NAMESPACE)
         with _obs.span("compiled.exec_compile", lines=source.count("\n")):
             exec(compile(source, "<repro:compiled-nest>", "exec"), namespace)
         variant = (source, namespace["_kernel"])  # type: ignore[assignment]
@@ -423,11 +408,6 @@ class CompiledNest:
                for name, data in state.items()
                if name in arrays or data}
         return ExecutionResult(out, itrace, atrace, count)
-
-
-def compile_loopnest(nest: LoopNest, **kwargs) -> CompiledNest:
-    """Factory alias mirroring :func:`repro.ir.emit.compile_nest` naming."""
-    return CompiledNest(nest, **kwargs)
 
 
 def nest_fingerprint(nest: LoopNest) -> str:

@@ -41,8 +41,8 @@ from repro.ir.loopnest import (Assign, If, InitStmt, Loop, LoopNest, PARDO,
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.runtime.arrays import Array
-from repro.runtime.compiled import (CompiledNest, CompiledNestCache, _calls,
-                                    _is_builtin_call)
+from repro.runtime.compiled import (CompiledNest, CompiledNestCache,
+                                    _is_builtin_call, _names)
 from repro.runtime.interpreter import ExecutionResult, Schedule
 from repro.util.errors import ReproError
 from repro.util.intmath import sign
@@ -252,7 +252,7 @@ class _Planner:
         nest, plan = self.nest, self.plan
         from repro.deps.analysis.references import inferred_array_names
 
-        calls = _calls(nest)
+        _, calls, _ = _names(nest)
         self.arrays = (inferred_array_names(nest) |
                        {f for f, k in calls
                         if f not in self.funcs and not _is_builtin_call(f, k)})

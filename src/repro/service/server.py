@@ -631,9 +631,8 @@ class TransformationService:
             from repro.ir.emit import emit_c
             code = emit_c(out)
         elif emit == "python":
-            from repro.deps.analysis.references import inferred_array_names
             from repro.ir.emit import emit_python
-            code = emit_python(out, sorted(inferred_array_names(out)))
+            code = emit_python(out)
         elif emit == "pretty":
             from repro.ir.pretty_temps import pretty_with_temps
             code = pretty_with_temps(out)

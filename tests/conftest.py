@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from typing import Dict, Tuple
 
 import pytest
 
@@ -77,3 +79,27 @@ def random_array_1d(rng: random.Random, lo: int, hi: int, name: str = "",
     for i in range(lo, hi + 1):
         arr[(i,)] = rng.randrange(limit)
     return arr
+
+
+def run_emitted(source: str, arrays: Dict[str, Array],
+                symbols: Dict[str, int],
+                func_name: str = "kernel") -> Tuple[Dict[str, Array], int]:
+    """Execute :func:`repro.ir.emit.emit_python` output on copies of
+    *arrays* (default-0 inputs); return the final arrays, as
+    :class:`Array` for comparison with an engine, and the body count.
+    Arrays the kernel binds but the caller did not supply start empty."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<emitted>", "exec"), namespace)
+    state: Dict[str, defaultdict] = defaultdict(lambda: defaultdict(int))
+    for name, arr in arrays.items():
+        state[name] = defaultdict(int, arr.data)
+    count = namespace[func_name](state, symbols)
+    return {name: Array(0, name, data) for name, data in state.items()}, count
+
+
+def assert_same_arrays(got: Dict[str, Array],
+                       expected: Dict[str, Array]) -> None:
+    """Element-wise equality of two name -> Array maps (a name missing on
+    one side is an all-default array)."""
+    for name in sorted(set(got) | set(expected)):
+        assert got.get(name, Array()) == expected.get(name, Array()), name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import SpecError, build_step, main, parse_steps
+from repro.cli import main
 from repro.core import (
     Block,
     Coalesce,
@@ -11,6 +11,7 @@ from repro.core import (
     ReversePermute,
     Unimodular,
 )
+from repro.core.spec import SpecError, build_step, parse_steps
 
 STENCIL = """
 do i = 2, n-1
@@ -174,7 +175,7 @@ class TestCommands:
                      "--steps", "interchange(1,3)", "--emit", "python"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "def kernel(arrays, symbols, funcs=None):" in out
+        assert "def kernel(arrays, symbols):" in out
         compile(out, "<cli>", "exec")
 
     def test_transform_trace(self, matmul_file, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the C and Python emitters and the nest compiler."""
+"""Tests for the C and Python emitters."""
 
 import random
 from collections import defaultdict
@@ -9,10 +9,13 @@ from repro.core import Block, Transformation, Unimodular
 from repro.core.derived import skew_and_interchange
 from repro.deps import depset
 from repro.deps.analysis import analyze
-from repro.ir import parse_nest
-from repro.ir.emit import compile_nest, emit_c, emit_python
-from repro.runtime import Array, run_nest
-from tests.conftest import random_array_2d
+from repro.expr.nodes import Add, Call, Const, Var
+from repro.ir import ArrayRef, Assign, LoopNest, parse_nest
+from repro.ir.emit import emit_c, emit_python
+from repro.runtime import Array, CompiledNest, run_nest
+from repro.runtime.compiled import PRELUDE
+from repro.util.errors import ReproError
+from tests.conftest import assert_same_arrays, random_array_2d, run_emitted
 
 
 class TestEmitC:
@@ -56,15 +59,27 @@ class TestEmitC:
         assert "if ((B(i) > 0))" in src
 
 
-def _dict_arrays(*names):
-    return {name: defaultdict(int) for name in names}
+def _kernel(nest, func_name="kernel"):
+    """Exec the emitted Python; return its kernel function."""
+    namespace = {}
+    exec(compile(emit_python(nest, func_name), "<test>", "exec"), namespace)
+    return namespace[func_name]
 
 
 class TestEmitPython:
     def test_source_compiles(self, matmul_nest):
-        src = emit_python(matmul_nest, ["A", "B", "C"])
+        src = emit_python(matmul_nest)
         compile(src, "<test>", "exec")
-        assert "def kernel(arrays, symbols, funcs=None):" in src
+        assert "def kernel(arrays, symbols):" in src
+        assert "def matmul(arrays, symbols):" in emit_python(matmul_nest,
+                                                             "matmul")
+
+    def test_serves_the_engine_source(self, matmul_nest):
+        """The served kernel is the compiled engine's own text, behind
+        the prelude the engine executes it with."""
+        src = emit_python(matmul_nest)
+        assert src.startswith(PRELUDE)
+        assert CompiledNest(matmul_nest, symbols={"n": 0}).source in src
 
     def test_compiled_matches_interpreter(self, matmul_nest):
         rng = random.Random(0)
@@ -72,18 +87,11 @@ class TestEmitPython:
         B = random_array_2d(rng, 1, n, "B")
         C = random_array_2d(rng, 1, n, "C")
         expected = run_nest(matmul_nest, {"B": B, "C": C},
-                            symbols={"n": n}).arrays["A"]
-
-        fn = compile_nest(matmul_nest, ["A", "B", "C"])
-        arrays = _dict_arrays("A")
-        arrays["B"] = dict(B.data)
-        arrays["C"] = dict(C.data)
-        # dict subscripting needs defaults for reads of unwritten keys:
-        arrays["B"] = defaultdict(int, B.data)
-        arrays["C"] = defaultdict(int, C.data)
-        fn(arrays, {"n": n})
-        for key, value in expected.data.items():
-            assert arrays["A"][key] == value
+                            symbols={"n": n})
+        got, count = run_emitted(emit_python(matmul_nest),
+                                 {"B": B, "C": C}, {"n": n})
+        assert_same_arrays(got, expected.arrays)
+        assert count == expected.body_count == n ** 3
 
     def test_compiled_transformed_nest(self, stencil_nest):
         deps = depset((1, 0), (0, 1))
@@ -92,15 +100,14 @@ class TestEmitPython:
         rng = random.Random(1)
         a = random_array_2d(rng, 0, n + 1, "a")
         expected = run_nest(stencil_nest, {"a": a},
-                            symbols={"n": n}).arrays["a"]
-
-        fn = compile_nest(out, ["a"])
-        arrays = {"a": defaultdict(int, a.data)}
-        fn(arrays, {"n": n})
-        for key, value in expected.data.items():
-            assert arrays["a"][key] == value
+                            symbols={"n": n}).arrays
+        got, _ = run_emitted(emit_python(out), {"a": a}, {"n": n})
+        assert_same_arrays(got, expected)
 
     def test_opaque_functions_bound(self):
+        """A registered function is called by the compiled engine; the
+        emitted kernel, like the interpreter without *funcs*, reads the
+        callee as an array."""
         nest = parse_nest("""
         do j = 1, 3
           do k = colstr(j), colstr(j+1) - 1
@@ -108,25 +115,42 @@ class TestEmitPython:
           enddo
         enddo
         """)
-        fn = compile_nest(nest, ["out"])
-        arrays = _dict_arrays("out")
         colstr = [0, 1, 3, 4, 6]
-        fn(arrays, {}, {"colstr": lambda x: colstr[x]})
-        assert arrays["out"][(3,)] == 2
+        result = CompiledNest(
+            nest, funcs={"colstr": lambda x: colstr[x]}).run({})
+        assert result.arrays["out"][(3,)] == 2
+        as_array = Array(0, "colstr",
+                         {(x,): v for x, v in enumerate(colstr)})
+        got, _ = run_emitted(emit_python(nest), {"colstr": as_array}, {})
+        assert got["out"][(3,)] == 2
+        assert_same_arrays(got, run_nest(nest, {"colstr": as_array}).arrays)
 
     def test_negative_step(self):
         nest = parse_nest("do i = 9, 1, -3\n a(i) = i\nenddo")
-        fn = compile_nest(nest, ["a"])
-        arrays = _dict_arrays("a")
-        fn(arrays, {})
-        assert sorted(arrays["a"]) == [(3,), (6,), (9,)]
+        got, _ = run_emitted(emit_python(nest), {}, {})
+        assert sorted(got["a"].data) == [(3,), (6,), (9,)]
 
     def test_if_and_relationals(self):
         nest = parse_nest("do i = 1, 6\n if (i % 2 == 0) a(i) = 1\nenddo")
-        fn = compile_nest(nest, ["a"])
-        arrays = _dict_arrays("a")
-        fn(arrays, {})
-        assert set(arrays["a"]) == {(2,), (4,), (6,)}
+        got, _ = run_emitted(emit_python(nest), {}, {})
+        assert set(got["a"].data) == {(2,), (4,), (6,)}
+
+    def test_prelude_helpers(self):
+        """``sgn``/``abs`` with extra arguments (built directly: the
+        parser takes one) and a symbolic step go through the prelude's
+        ``_sgn``/``_fst``/``_ReproError``."""
+        loop = parse_nest("do i = -3, 3, s\n a(i) = 0\nenddo")
+        i, b_i = Var("i"), Call("b", (Var("i"),))
+        value = Add((Call("sgn", (i, b_i)),
+                     Call("abs", (Add((i, Const(-1))), b_i))))
+        nest = LoopNest(loop.loops,
+                        [Assign(ArrayRef("a", (i,)), value)])
+        b = Array(0, "b", {(k,): k * k for k in range(-3, 4)})
+        got, _ = run_emitted(emit_python(nest), {"b": b}, {"s": 1})
+        assert_same_arrays(
+            got, run_nest(nest, {"b": b}, symbols={"s": 1}).arrays)
+        with pytest.raises(ReproError, match="zero step"):
+            run_emitted(emit_python(nest), {"b": b}, {"s": 0})
 
     @pytest.mark.parametrize("bsize", [2, 3])
     def test_compiled_blocked_matmul(self, matmul_nest, bsize):
@@ -138,14 +162,9 @@ class TestEmitPython:
         B = random_array_2d(rng, 1, n, "B")
         C = random_array_2d(rng, 1, n, "C")
         expected = run_nest(matmul_nest, {"B": B, "C": C},
-                            symbols={"n": n}).arrays["A"]
-        fn = compile_nest(out, ["A", "B", "C"])
-        arrays = {"A": defaultdict(int),
-                  "B": defaultdict(int, B.data),
-                  "C": defaultdict(int, C.data)}
-        fn(arrays, {"n": n})
-        for key, value in expected.data.items():
-            assert arrays["A"][key] == value
+                            symbols={"n": n}).arrays
+        got, _ = run_emitted(emit_python(out), {"B": B, "C": C}, {"n": n})
+        assert_same_arrays(got, expected)
 
     def test_compiled_is_faster_than_interpreter(self, matmul_nest):
         """The point of the compiler: beat the reference interpreter."""
@@ -160,7 +179,7 @@ class TestEmitPython:
         run_nest(matmul_nest, {"B": B, "C": C}, symbols={"n": n})
         interp = time.perf_counter() - start
 
-        fn = compile_nest(matmul_nest, ["A", "B", "C"])
+        fn = _kernel(matmul_nest)
         arrays = {"A": defaultdict(int),
                   "B": defaultdict(int, B.data),
                   "C": defaultdict(int, C.data)}
@@ -172,8 +191,8 @@ class TestEmitPython:
 
 class TestNumpyInterop:
     def test_compiled_kernel_on_numpy_arrays(self):
-        """compile_nest works directly on numpy arrays (tuple indexing),
-        using 0-based bounds."""
+        """The emitted kernel works directly on numpy arrays (tuple
+        indexing), using 0-based bounds."""
         import numpy as np
 
         nest = parse_nest("""
@@ -188,8 +207,7 @@ class TestNumpyInterop:
         a = rng.integers(0, 50, size=(n, n))
         b = rng.integers(0, 50, size=(n, n))
         c = np.zeros((n, n), dtype=a.dtype)
-        fn = compile_nest(nest, ["a", "b", "c"])
-        fn({"a": a, "b": b, "c": c}, {"n": n})
+        _kernel(nest)({"a": a, "b": b, "c": c}, {"n": n})
         assert (c == a + b.T).all()
 
     def test_transformed_kernel_on_numpy(self):
@@ -211,6 +229,5 @@ class TestNumpyInterop:
         A = rng.integers(0, 10, size=(n, n))
         B = rng.integers(0, 10, size=(n, n))
         C = np.zeros((n, n), dtype=A.dtype)
-        fn = compile_nest(out, ["A", "B", "C"])
-        fn({"A": A, "B": B, "C": C}, {"n": n})
+        _kernel(out)({"A": A, "B": B, "C": C}, {"n": n})
         assert (C == A @ B).all()

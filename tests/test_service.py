@@ -84,6 +84,30 @@ def test_golden_session():
     assert stats["caches"]["legality"]["max_entries"] == 4096
 
 
+def test_apply_serves_python_that_runs():
+    """The ``apply`` op's ``emit: python`` text executes: on the Figure-6
+    matmul with read-only ``B``/``C`` it matches the interpreter."""
+    from repro.ir import parse_nest
+    from repro.runtime import Array, run_nest
+    from tests.conftest import assert_same_arrays, run_emitted
+
+    matmul = ("do i = 1, n\n do j = 1, n\n  do k = 1, n\n"
+              "   A(i, j) += B(i, k) * C(k, j)\n  enddo\n enddo\nenddo")
+    reply, = drive(TransformationService(), [
+        {"id": 1, "op": "apply",
+         "params": {"text": matmul, "steps": "interchange(1,3)",
+                    "emit": "python"}}])
+    assert reply["ok"], reply
+    arrays = {name: Array(0, name, {(i, j): 10 * i + j
+                                    for i in range(1, 4)
+                                    for j in range(1, 4)})
+              for name in ("B", "C")}
+    got, count = run_emitted(reply["result"]["code"], arrays, {"n": 3})
+    expected = run_nest(parse_nest(matmul), arrays, symbols={"n": 3})
+    assert_same_arrays(got, expected.arrays)
+    assert count == 27
+
+
 def test_typed_errors():
     service = TransformationService()
     replies = by_id(drive(service, [

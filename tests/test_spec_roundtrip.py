@@ -1,10 +1,10 @@
-"""Round-trip tests: Transformation.to_spec <-> repro.cli.parse_steps."""
+"""Round-trip tests: Transformation.to_spec <-> repro.core.spec.parse_steps."""
 
 import random
 
 import pytest
 
-from repro.cli import parse_steps
+from repro.core.spec import parse_steps
 from repro.core import (
     Block,
     Coalesce,
