@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: test bench bench-report bench-smoke bench-service \
 	bench-resilience bench-fleet bench-vectorized \
-	bench-model-search fuzz-smoke examples corpus all
+	bench-model-search fuzz-smoke examples corpus loc all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -64,6 +64,11 @@ fuzz-smoke:
 		--matrix core,search --corpus tests/corpus/fuzz \
 		--json bench_fuzz.json --quiet
 	$(PYTHON) -m repro fuzz --replay --corpus tests/corpus/fuzz --quiet
+
+# Net src/ line count, the figure the ledger tracks; the same number as
+# `find src -name '*.py' | xargs wc -l` prints as its total.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l | awk '{print "src LOC:", $$1}'
 
 examples:
 	@for f in examples/*.py; do \

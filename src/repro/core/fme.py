@@ -1,4 +1,4 @@
-"""Symbolic Fourier–Motzkin elimination for unimodular code generation.
+"""Symbolic polyhedron scanning for unimodular code generation.
 
 The Unimodular template's loop-bounds mapping ("studied in detail in
 [Irigoin 88; Wolf & Lam 91]") is polyhedron scanning: the input bounds
@@ -10,164 +10,187 @@ bounds ``y_k <= floor(e / a)`` whose ``max``/``min`` become the new loop
 bounds — exactly the `max(2, jj-n+1) .. min(n-1, jj-2)` shape of
 Figure 1(b).
 
-Constraints carry exact integer coefficients over the index variables
-plus a symbolic invariant part (so ``n`` stays symbolic).  Constraints
-whose index coefficients are all zero relate invariants only; they are
-implied by the emptiness behaviour of the generated ``max``/``min``
-bounds and are dropped.
+The rows and the projection step are the dependence analyzer's
+(:mod:`repro.deps.analysis.linear_system`).  A :class:`Lifter` turns
+each bound into :class:`LinConstraint` rows once: loop indices stay
+variables, invariant symbols become ``inv$`` variables and every other
+invariant term (``div(n, 2)``, ``n*m``, a call) an ``opq$`` variable, so
+``n`` stays symbolic; it maps the surviving rows back to bound
+expressions.  The scanner's own policy is the elimination order
+(innermost first), a :class:`~repro.util.errors.CodegenError` when the
+projection gives up, and the integer floor-tightening of rows over loop
+indices only.  Rows whose index coefficients all vanish relate
+invariants only; they are implied by the emptiness behaviour of the
+generated ``max``/``min`` bounds and are dropped.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.deps.analysis.linear_system import (
+    LinConstraint,
+    LinearSystem,
+    _dedupe,
+    _eliminate,
+    bound_rows,
+)
 from repro.expr.linear import affine_form
 from repro.expr.nodes import (
+    Add,
     Const,
     Expr,
-    Max,
-    Min,
+    Var,
     add,
     ceildiv,
     floordiv,
     mul,
     neg,
+    split_coeff,
     var,
     vmax,
     vmin,
 )
 from repro.resilience import guards as _guards
 from repro.util.errors import CodegenError
-from repro.util.intmath import gcd_many
 from repro.util.matrices import IntMatrix
 
-#: Historical default for the safety valve against FM's worst-case
-#: blowup; the live cap is ``guards.limits().max_fme_constraints``
-#: (same default, REPRO_MAX_FME_CONSTRAINTS-overridable).
-MAX_CONSTRAINTS = 2000
+INV = "inv$"
+OPQ = "opq$"
 
 
-class Constraint:
-    """``sum(coeffs[m] * v_m) + rest >= 0`` with integer coefficients."""
+class Lifter:
+    """Lifts affine bound expressions into row coefficients and maps
+    rows back, remembering which ``opq$`` variable stands for which
+    non-affine invariant term."""
 
-    __slots__ = ("coeffs", "rest")
+    def __init__(self):
+        self._names: Dict[Expr, str] = {}
+        self._terms: Dict[str, Expr] = {}
 
-    def __init__(self, coeffs: Sequence[int], rest: Expr):
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self.rest = rest
+    def lift(self, expr: Expr, names: Sequence[str]
+             ) -> Optional[Tuple[Dict[str, int], int]]:
+        """``(coeffs, const)`` of *expr* over the index *names*, or None
+        when *expr* is not affine in them."""
+        form = affine_form(expr, names)
+        if form is None:
+            return None
+        coeffs = dict(form.coeffs)
+        const = 0
+        rest = form.rest
+        for t in rest.terms if isinstance(rest, Add) else (rest,):
+            c, term = split_coeff(t)
+            if term is None:
+                const += c
+                continue
+            if isinstance(term, Var):
+                key = INV + term.name
+            else:
+                key = self._names.setdefault(term, f"{OPQ}{len(self._names)}")
+                self._terms[key] = term
+            coeffs[key] = coeffs.get(key, 0) + c
+        return coeffs, const
 
-    def normalized(self) -> "Constraint":
-        """Divide through by the gcd when the invariant part is constant
-        (tightening the constant with floor is sound for ``>= 0``)."""
-        if not isinstance(self.rest, Const):
-            return self
-        g = gcd_many(list(self.coeffs))
-        if g <= 1:
-            return self
-        new_rest = Const(self.rest.value // g)  # floor tightens >= 0
-        return Constraint([c // g for c in self.coeffs], new_rest)
-
-    def key(self) -> Tuple:
-        return (self.coeffs, self.rest)
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        parts = [f"{c}*v{m}" for m, c in enumerate(self.coeffs) if c != 0]
-        parts.append(str(self.rest))
-        return "Constraint(" + " + ".join(parts) + " >= 0)"
+    def expr(self, coeffs: Dict[str, int], const: int) -> Expr:
+        """``sum(coeffs[v] * v) + const`` as an expression."""
+        terms = []
+        for v, c in coeffs.items():
+            if v.startswith(OPQ):
+                term = self._terms[v]
+            else:
+                term = var(v[len(INV):] if v.startswith(INV) else v)
+            terms.append(mul(Const(c), term))
+        return add(*terms, Const(const))
 
 
 def constraint_from_bound(expr: Expr, names: Sequence[str],
-                          own_index: int, is_lower: bool) -> List[Constraint]:
-    """Constraints for ``x_k >= expr`` (lower) or ``x_k <= expr`` (upper).
+                          own_index: int, is_lower: bool,
+                          lifter: Lifter) -> List[LinConstraint]:
+    """Rows for ``x_k >= expr`` (lower) or ``x_k <= expr`` (upper).
 
-    A ``max`` lower bound / ``min`` upper bound contributes one constraint
-    per term.
+    A ``max`` lower bound / ``min`` upper bound contributes one row per
+    term.
     """
-    if is_lower and isinstance(expr, Max):
-        terms = expr.args
-    elif not is_lower and isinstance(expr, Min):
-        terms = expr.args
-    else:
-        terms = (expr,)
-    out = []
-    for term in terms:
-        form = affine_form(term, names)
-        if form is None:
+
+    def lift(term: Expr):
+        lifted = lifter.lift(term, names)
+        if lifted is None:
             raise CodegenError(
                 f"bound {term} is not affine in {list(names)}; "
                 "unimodular codegen requires linear bounds")
-        coeffs = [form.coefficient(nm) for nm in names]
-        if is_lower:
-            # x_k - term >= 0
-            coeffs = [-c for c in coeffs]
-            coeffs[own_index] += 1
-            rest = neg(form.rest)
-        else:
-            # term - x_k >= 0
-            coeffs = list(coeffs)
-            coeffs[own_index] -= 1
-            rest = form.rest
-        out.append(Constraint(coeffs, rest).normalized())
-    return out
+        return lifted
+
+    return bound_rows(expr, names[own_index], is_lower, lift)
 
 
-def transform_constraints(constraints: Sequence[Constraint],
-                          m_inverse: IntMatrix) -> List[Constraint]:
-    """Rewrite constraints over ``x`` into constraints over ``y = M x``
-    using ``x = M^-1 y`` — coefficient rows multiply by ``M^-1``."""
+def scan_row(coeffs: Dict[str, int], const: int) -> LinConstraint:
+    """The scanner's row normalization.  A row over loop indices only is
+    floor-tightened: with ``g`` the gcd of its coefficients,
+    ``a.x + c >= 0`` holds at integer ``x`` iff ``(a/g).x + floor(c/g)
+    >= 0``.  A row with ``inv$``/``opq$`` terms is kept as built."""
+    row = LinConstraint.exact(coeffs, const)
+    g = gcd(*row.coeffs.values())
+    if g > 1 and not any(v.startswith((INV, OPQ)) for v in row.coeffs):
+        return LinConstraint.exact(
+            {v: a // g for v, a in row.coeffs.items()}, const // g)
+    return row
+
+
+def transform_constraints(rows: Sequence[LinConstraint],
+                          m_inverse: IntMatrix, names: Sequence[str],
+                          new_names: Sequence[str]) -> List[LinConstraint]:
+    """Rewrite rows over ``x`` (*names*) into rows over ``y = M x``
+    (*new_names*) using ``x = M^-1 y`` — index coefficients multiply by
+    ``M^-1``; invariant coefficients are unchanged."""
     out = []
-    n = m_inverse.nrows
-    for c in constraints:
-        if len(c.coeffs) != n:
-            raise ValueError("constraint arity mismatch")
-        new = [sum(c.coeffs[k] * m_inverse[k, j] for k in range(n))
-               for j in range(n)]
-        out.append(Constraint(new, c.rest).normalized())
+    for row in rows:
+        coeffs = {v: c for v, c in row.coeffs.items() if v not in names}
+        old = [row.coeffs.get(nm, 0) for nm in names]
+        for j, nm in enumerate(new_names):
+            coeffs[nm] = sum(old[k] * m_inverse[k, j]
+                             for k in range(len(names)))
+        out.append(scan_row(coeffs, row.const))
     return out
 
 
-def _dedupe_and_prune(constraints: List[Constraint]) -> List[Constraint]:
-    """Drop duplicates and constraints dominated by a same-coefficients
-    constraint with a provably smaller invariant part."""
-    by_coeffs: Dict[Tuple[int, ...], List[Constraint]] = {}
-    order: List[Tuple[int, ...]] = []
-    for c in constraints:
-        if c.coeffs not in by_coeffs:
-            by_coeffs[c.coeffs] = []
-            order.append(c.coeffs)
-        bucket = by_coeffs[c.coeffs]
-        replaced = False
-        for idx, other in enumerate(bucket):
-            diff = add(c.rest, neg(other.rest))
-            if isinstance(diff, Const):
-                # Same coefficients; smaller rest is tighter for ">= 0".
-                if diff.value < 0:
-                    bucket[idx] = c
-                replaced = True
-                break
-        if not replaced:
-            bucket.append(c)
-    out = []
-    for key in order:
-        out.extend(by_coeffs[key])
-    return out
+def remove_redundant(rows: List[LinConstraint]) -> List[LinConstraint]:
+    """Drop rows implied by the rest of the system.
+
+    Exact over the rationals: a row is redundant iff the system with the
+    row replaced by its strict negation (``-(lhs) - 1 >= 0`` over
+    integers) is infeasible.  ``inv$``/``opq$`` variables are free
+    there, a sound relaxation (it can only miss redundancies, never
+    create them).
+    """
+    if len(rows) > 60:
+        return rows
+    kept = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept) - 1, -1, -1):
+            row = kept[idx]
+            system = LinearSystem(kept[:idx] + kept[idx + 1:] + [
+                LinConstraint({v: -a for v, a in row.coeffs.items()},
+                              -row.const - 1)])
+            if not system.is_feasible():
+                kept.pop(idx)
+                changed = True
+    return kept
 
 
-def _bound_exprs(constraints: Sequence[Constraint], level: int,
-                 names: Sequence[str]) -> Tuple[List[Expr], List[Expr]]:
-    """Lower/upper bound expressions for variable *level* (0-based) from
-    the constraints that mention it."""
+def _bound_exprs(rows: Sequence[LinConstraint], name: str,
+                 lifter: Lifter) -> Tuple[List[Expr], List[Expr]]:
+    """Lower/upper bound expressions for index *name* from the rows
+    that mention it."""
     lowers, uppers = [], []
-    for c in constraints:
-        a = c.coeffs[level]
+    for row in rows:
+        a = row.coeffs.get(name, 0)
         if a == 0:
             continue
-        inner_terms = [mul(Const(c.coeffs[m]), var(names[m]))
-                       for m in range(level) if c.coeffs[m] != 0]
-        inner = add(*(inner_terms + [c.rest])) if inner_terms else c.rest
+        inner = lifter.expr({v: c for v, c in row.coeffs.items()
+                             if v != name}, row.const)
         if a > 0:
             lowers.append(ceildiv(neg(inner), Const(a)))
         else:
@@ -175,145 +198,65 @@ def _bound_exprs(constraints: Sequence[Constraint], level: int,
     return lowers, uppers
 
 
-def _eliminate(constraints: Sequence[Constraint],
-               level: int) -> List[Constraint]:
-    """Project out variable *level* (Fourier–Motzkin step)."""
-    kept, pos, neg_ = [], [], []
-    for c in constraints:
-        a = c.coeffs[level]
-        if a == 0:
-            kept.append(c)
-        elif a > 0:
-            pos.append(c)
-        else:
-            neg_.append(c)
-    for p in pos:
-        a = p.coeffs[level]
-        for q in neg_:
-            b = -q.coeffs[level]
-            coeffs = [b * cp + a * cq for cp, cq in zip(p.coeffs, q.coeffs)]
-            assert coeffs[level] == 0
-            rest = add(mul(Const(b), p.rest), mul(Const(a), q.rest))
-            combined = Constraint(coeffs, rest).normalized()
-            if not combined.is_trivial():
-                kept.append(combined)
-    kept = _dedupe_and_prune(kept)
-    cap = _guards.limits().max_fme_constraints
-    if len(kept) > cap:
-        raise CodegenError(
-            f"Fourier-Motzkin blowup: {len(kept)} constraints at level "
-            f"{level} (limit {cap}, REPRO_MAX_FME_CONSTRAINTS); the "
-            f"transformed polyhedron is too complex")
-    return kept
+def _empty_nest(n: int) -> List[Tuple[Expr, Expr]]:
+    """Bounds of a statically empty nest of depth *n*."""
+    return ([(Const(0), Const(-1))] + [(Const(0), Const(0))] * n)[:n]
 
 
-def _rest_to_coeffs(rest: Expr, symtab: Dict[Expr, str]):
-    """Model a constraint's invariant part for the rational feasibility
-    checker: affine over invariant symbols when possible, otherwise a
-    single opaque symbol per distinct expression (sound relaxation)."""
-    from fractions import Fraction
-
-    from repro.expr.linear import affine_form
-    from repro.expr.nodes import Const, free_vars
-
-    form = affine_form(rest, sorted(free_vars(rest)))
-    if form is not None and isinstance(form.rest, Const):
-        coeffs = {f"inv${v}": Fraction(c) for v, c in form.coeffs.items()}
-        return coeffs, Fraction(form.rest.value)
-    key = symtab.setdefault(rest, f"opq${len(symtab)}")
-    return {key: Fraction(1)}, Fraction(0)
-
-
-def remove_redundant(constraints: List[Constraint]) -> List[Constraint]:
-    """Drop constraints implied by the rest of the system.
-
-    Exact over the rationals: *c* is redundant iff the system with *c*
-    replaced by its strict negation (``-(lhs) - 1 >= 0`` over integers)
-    is infeasible.  Symbolic invariants are modeled as free variables, a
-    sound relaxation (it can only miss redundancies, never create them).
-    """
-    from fractions import Fraction
-
-    from repro.deps.analysis.linear_system import LinearSystem
-
-    if len(constraints) > 60:
-        return constraints
-    symtab: Dict[Expr, str] = {}
-
-    def lin(c: Constraint, negate: bool):
-        coeffs, const = _rest_to_coeffs(c.rest, symtab)
-        out = dict(coeffs)
-        for m, a in enumerate(c.coeffs):
-            if a != 0:
-                out[f"y${m}"] = out.get(f"y${m}", Fraction(0)) + a
-        if negate:
-            out = {v: -x for v, x in out.items()}
-            const = -const - 1
-        return out, const
-
-    kept = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept) - 1, -1, -1):
-            candidate = kept[idx]
-            system = LinearSystem()
-            for pos, other in enumerate(kept):
-                if pos == idx:
-                    continue
-                coeffs, const = lin(other, negate=False)
-                system.add_ge(coeffs, const)
-            coeffs, const = lin(candidate, negate=True)
-            system.add_ge(coeffs, const)
-            if not system.is_feasible():
-                kept.pop(idx)
-                changed = True
-    return kept
-
-
-def scan_bounds(constraints: Sequence[Constraint],
-                names: Sequence[str],
-                prune_redundant: bool = True) -> List[Tuple[Expr, Expr]]:
+def scan_bounds(rows: Sequence[LinConstraint], names: Sequence[str],
+                lifter: Lifter) -> List[Tuple[Expr, Expr]]:
     """Compute ``(lower, upper)`` bound expressions for every variable.
 
-    *names* lists the output index variables outermost first; the bound
-    of variable *k* may reference variables ``0..k-1``.
-    ``prune_redundant`` removes implied constraints before each level's
-    bound extraction (so Figure 4(b) reads ``ii <= jj``, not
-    ``min(jj, n)``).
+    *rows* are built by :func:`scan_row`.  *names* lists the output
+    index variables outermost first; the bound of variable *k* may
+    reference variables ``0..k-1``.  *lifter* maps the ``opq$``
+    variables of *rows* back.  Implied rows are removed
+    before each level's bound extraction (so Figure 4(b) reads
+    ``ii <= jj``, not ``min(jj, n)``).
     """
     n = len(names)
+    index = set(names)
     bounds: List[Optional[Tuple[Expr, Expr]]] = [None] * n
-    # Variable-free input constraints: a constant falsehood makes the
-    # whole polyhedron empty (emit a statically empty nest); a constant
-    # truth is dropped; a symbolic one cannot be attached to any loop
-    # bound and is rejected.  (FM-*generated* variable-free constraints
-    # are different — their emptiness is reflected in some variable's
-    # max-lower/min-upper pair — and are dropped inside _eliminate.)
-    kept_input = []
-    for c in constraints:
-        if not c.is_trivial():
-            kept_input.append(c)
-            continue
-        if isinstance(c.rest, Const):
-            if c.rest.value < 0:
-                empty = [(Const(0), Const(-1))] + \
-                    [(Const(0), Const(0))] * (n - 1)
-                return empty[:n]
-            continue
-        raise CodegenError(
-            f"variable-free symbolic constraint {c.rest} >= 0 cannot be "
-            "expressed as a loop bound")
-    current = _dedupe_and_prune(kept_input)
+    # Index-free input rows: a constant falsehood makes the whole
+    # polyhedron empty (emit a statically empty nest); a constant truth
+    # is dropped; a symbolic one cannot be attached to any loop bound
+    # and is rejected.  (FM-*generated* index-free rows are different —
+    # their emptiness is reflected in some variable's max-lower/min-upper
+    # pair — and are dropped after each elimination.)
+    current = []
+    for row in rows:
+        if index.intersection(row.coeffs):
+            current.append(row)
+        elif row.coeffs:
+            raise CodegenError(
+                f"variable-free symbolic constraint "
+                f"{lifter.expr(row.coeffs, row.const)} >= 0 cannot be "
+                "expressed as a loop bound")
+        elif row.const < 0:
+            return _empty_nest(n)
+    current = _dedupe(current)
+    # So does a polyhedron that is empty over the rationals for every
+    # value of the invariants (bounds like j = 5, 3).  Redundancy is
+    # meaningless there: every row is implied by the others, and
+    # dropping them could leave some index unbounded.
+    if not LinearSystem(current).is_feasible():
+        return _empty_nest(n)
     for level in range(n - 1, -1, -1):
-        if prune_redundant:
-            current = remove_redundant(current)
-        lowers, uppers = _bound_exprs(current, level, names)
+        current = remove_redundant(current)
+        lowers, uppers = _bound_exprs(current, names[level], lifter)
         if not lowers or not uppers:
             raise CodegenError(
                 f"variable {names[level]} is unbounded "
                 f"{'below' if not lowers else 'above'}; the input nest's "
                 "bounds do not define a scannable polyhedron")
         bounds[level] = (vmax(*lowers), vmin(*uppers))
-        current = _eliminate(current, level)
+        projected = _eliminate(current, names[level], scan_row)
+        if projected is None:
+            raise CodegenError(
+                f"Fourier-Motzkin blowup projecting out {names[level]}: "
+                f"over {_guards.limits().max_fme_constraints} constraints "
+                "(REPRO_MAX_FME_CONSTRAINTS); the transformed polyhedron "
+                "is too complex")
+        current = [row for row in projected
+                   if index.intersection(row.coeffs)]
     return bounds  # type: ignore[return-value]

@@ -32,12 +32,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.fme import (
-    Constraint,
+    Lifter,
     constraint_from_bound,
     scan_bounds,
+    scan_row,
     transform_constraints,
 )
 from repro.core.template import Template, TransformedLoops, fresh_name
+from repro.deps.analysis.linear_system import LinConstraint
 from repro.deps.rules import unimodular_map
 from repro.deps.vector import DepVector
 from repro.expr.linear import BoundType, affine_form
@@ -108,12 +110,10 @@ class Unimodular(Template):
                 # bounds, which stays affine only when l and u are plain
                 # affine terms (a max/min lower bound cannot appear on
                 # the right of an equality).
-                from repro.expr.linear import affine_form as _aff
-
                 names = [lp.index for lp in loops]
                 for which, e in (("lower", loops[j - 1].lower),
                                  ("upper", loops[j - 1].upper)):
-                    if _aff(e, names) is None:
+                    if affine_form(e, names) is None:
                         raise PreconditionViolation(
                             self.signature(),
                             f"{which} bound of non-unit-step loop "
@@ -136,11 +136,13 @@ class Unimodular(Template):
     def map_loops(self, loops: Sequence[Loop],
                   taken: Set[str]) -> TransformedLoops:
         self._require_depth(loops)
-        norm_names, norm_inits, constraints = _normalize(loops, taken)
+        lifter = Lifter()
+        norm_names, norm_inits, rows = _normalize(loops, taken, lifter)
 
         y_names = self._output_names(loops, taken)
-        transformed = transform_constraints(constraints, self._inverse)
-        bounds = scan_bounds(transformed, y_names)
+        transformed = transform_constraints(rows, self._inverse,
+                                            norm_names, y_names)
+        bounds = scan_bounds(transformed, y_names, lifter)
 
         out_loops = tuple(
             Loop(y_names[k], lo, hi, Const(1), DO)
@@ -172,20 +174,19 @@ class Unimodular(Template):
         return out
 
 
-def _normalize(loops: Sequence[Loop], taken: Set[str]
-               ) -> Tuple[List[str], List[InitStmt], List[Constraint]]:
+def _normalize(loops: Sequence[Loop], taken: Set[str], lifter: Lifter
+               ) -> Tuple[List[str], List[InitStmt], List[LinConstraint]]:
     """Normalize steps to 1 and extract the affine constraint system.
 
     Returns the normalized index names (one per loop; the original name
     when the step was already 1), the denormalizing INIT statements, and
-    the constraints over the normalized variables.  Avoiding an explicit
-    trip count keeps the system affine: a loop ``x = l, u, s`` becomes
-    ``t >= 0`` together with ``l + s*t`` within ``[min(l,u*), max(..)]``
-    in the direction of travel.
+    the rows over the normalized variables, lifted by *lifter*.  Avoiding
+    an explicit trip count keeps the system affine: a loop
+    ``x = l, u, s`` becomes ``t >= 0`` together with ``l + s*t`` within
+    ``[min(l,u*), max(..)]`` in the direction of travel.
     """
-    n = len(loops)
-    # First pass: pick every normalized index name up front so constraint
-    # coefficient vectors can have full arity n from the start.
+    # First pass: pick every normalized index name up front so every
+    # bound is lifted over all of them.
     norm_names: List[str] = []
     for lp in loops:
         step = lp.step
@@ -198,25 +199,25 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
     inits: List[InitStmt] = []
     # Maps original index names to their expression over normalized vars.
     rewrite: Dict[str, Expr] = {}
-    constraints: List[Constraint] = []
+    rows: List[LinConstraint] = []
 
     for k, lp in enumerate(loops):
         step_value = lp.step.value  # type: ignore[union-attr]
         lower = substitute(lp.lower, rewrite)
         upper = substitute(lp.upper, rewrite)
         if step_value == 1:
-            constraints.extend(constraint_from_bound(
-                lower, norm_names, k, is_lower=True))
-            constraints.extend(constraint_from_bound(
-                upper, norm_names, k, is_lower=False))
+            rows.extend(constraint_from_bound(
+                lower, norm_names, k, True, lifter))
+            rows.extend(constraint_from_bound(
+                upper, norm_names, k, False, lifter))
             continue
         t_name = norm_names[k]
         value = add(lower, mul(Const(step_value), var(t_name)))
         rewrite[lp.index] = value
         inits.append(InitStmt(lp.index, value))
         # t >= 0
-        constraints.extend(constraint_from_bound(
-            Const(0), norm_names, k, is_lower=True))
+        rows.extend(constraint_from_bound(
+            Const(0), norm_names, k, True, lifter))
         # End-of-range: the last in-range index value gives, for s > 0,
         # (u - l) - s*t >= 0 and, for s < 0, (l - u) + s*t... both reduce
         # to span - |s|*t >= 0 with span on the travel side.
@@ -224,12 +225,12 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
             span = add(upper, mul(Const(-1), lower))
         else:
             span = add(lower, mul(Const(-1), upper))
-        form = affine_form(span, norm_names)
-        if form is None:
+        lifted = lifter.lift(span, norm_names)
+        if lifted is None:
             raise CodegenError(
                 f"bounds of loop {lp.index} are not affine after step "
                 "normalization")
-        coeffs = [form.coefficient(nm) for nm in norm_names]
-        coeffs[k] -= abs(step_value)
-        constraints.append(Constraint(coeffs, form.rest).normalized())
-    return norm_names, inits, constraints
+        coeffs, const = lifted
+        coeffs[t_name] = coeffs.get(t_name, 0) - abs(step_value)
+        rows.append(scan_row(coeffs, const))
+    return norm_names, inits, rows

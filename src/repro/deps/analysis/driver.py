@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.deps.analysis.linear_system import LinearSystem
+from repro.deps.analysis.linear_system import LinearSystem, bound_rows
 from repro.deps.analysis.references import (
     ArrayAccess,
     collect_accesses,
@@ -42,7 +42,8 @@ from repro.deps.analysis.tests import (
 )
 from repro.deps.vector import DepEntry, DepSet, DepVector
 from repro.expr.linear import affine_form
-from repro.expr.nodes import Const, Expr, Max, Min, add, mul, substitute, var
+from repro.expr.nodes import (Const, Expr, Max, Min, add, call, free_vars,
+                              mul, substitute, var)
 from repro.ir.loopnest import LoopNest
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
@@ -128,8 +129,7 @@ class DependenceAnalyzer:
         for k, lp in enumerate(nest.loops):
             lower = substitute(lp.lower, self.rewrite)
             upper = substitute(lp.upper, self.rewrite)
-            from repro.expr.nodes import free_vars as _fv
-            lower_uses_indices = bool(_fv(lower) & set(self.index_names))
+            lower_uses_indices = bool(free_vars(lower) & set(self.index_names))
             if isinstance(lp.step, Const) and lp.step.value == 1:
                 self.norm_names.append(lp.index)
                 bounds.append((lower, upper))
@@ -147,8 +147,7 @@ class DependenceAnalyzer:
                 # bound mentioning it degrades conservatively.
                 t = lp.index + "$t"
                 self.norm_names.append(t)
-                from repro.expr.nodes import call as _call
-                self.rewrite[lp.index] = _call("opaque$step", var(t))
+                self.rewrite[lp.index] = call("opaque$step", var(t))
                 self.opaque_levels.add(k)
                 bounds.append(None)
         self._bounds = bounds
@@ -189,34 +188,19 @@ class DependenceAnalyzer:
 
     def _add_bound(self, system: LinearSystem, expr: Expr, name: str,
                    suffix: str, is_lower: bool) -> None:
-        terms: Tuple[Expr, ...]
-        if is_lower and isinstance(expr, Max):
-            terms = expr.args
-        elif not is_lower and isinstance(expr, Min):
-            terms = expr.args
-        elif isinstance(expr, (Max, Min)):
+        if isinstance(expr, Min if is_lower else Max):
             return  # wrong-direction minmax: skip (conservative)
-        else:
-            terms = (expr,)
-        for term in terms:
-            rewritten = substitute(term, self.rewrite)
-            parsed = _affine_dict(rewritten, self.norm_names, "",
-                                  self.invariants)
+
+        def lift(term: Expr):
+            parsed = _affine_dict(substitute(term, self.rewrite),
+                                  self.norm_names, "", self.invariants)
             if parsed is None:
-                continue  # non-affine bound: skip (conservative)
-            term_coeffs, const = parsed
-            term_coeffs = {self._suffix_var(v, suffix): c
-                           for v, c in term_coeffs.items()}
-            if is_lower:
-                # x - term >= 0
-                coeffs = {v: -c for v, c in term_coeffs.items()}
-                coeffs[name] = coeffs.get(name, Fraction(0)) + 1
-                system.add_ge(coeffs, -const)
-            else:
-                # term - x >= 0
-                coeffs = dict(term_coeffs)
-                coeffs[name] = coeffs.get(name, Fraction(0)) - 1
-                system.add_ge(coeffs, const)
+                return None  # non-affine bound: skip (conservative)
+            coeffs, const = parsed
+            return ({self._suffix_var(v, suffix): c
+                     for v, c in coeffs.items()}, const)
+
+        system.constraints.extend(bound_rows(expr, name, is_lower, lift))
 
     # -- ranges for the Banerjee tier --------------------------------------------
 

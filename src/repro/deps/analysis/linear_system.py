@@ -1,39 +1,42 @@
-"""Exact rational linear systems with Fourier–Motzkin feasibility.
+"""Exact rational linear systems: the one Fourier–Motzkin core.
 
 The dependence analyzer reduces "can iteration ``x1`` of one reference
 and iteration ``x2`` of another touch the same array element (under a
 direction constraint)?" to the feasibility of a system of linear
 equalities and inequalities over the 2n iteration variables plus any
 symbolic nest invariants (treated as existential unknowns — sound, since
-a dependence that exists for *some* ``n`` must be assumed).
+a dependence that exists for *some* ``n`` must be assumed).  Feasibility
+is decided over the rationals by Fourier–Motzkin (FM) elimination
+(conservative for integers; the integer-only refutations come from the
+GCD test in :mod:`repro.deps.analysis.tests`), and the same machinery
+computes the exact variable bounds that refine directions to distances.
 
-Feasibility is decided over the rationals by Fourier–Motzkin
-elimination (conservative for integers: rationally infeasible implies
-integer infeasible; the integer-only refutations come from the GCD test
-in :mod:`repro.deps.analysis.tests`).  The same machinery computes exact
-variable bounds, which the driver uses to refine direction entries to
-distances.
+The Unimodular bounds scanner (:mod:`repro.core.fme`) runs on the same
+rows and projection step: it lifts the transformed nest's bounds into
+:class:`LinConstraint` rows and projects the loop indices out
+innermost-first with :func:`_eliminate`.  Each caller keeps its policy —
+elimination order, what a give-up means ("feasible" here, a
+``CodegenError`` there), the scanner's floor-tightening of index-only
+rows — and one cap bounds both: ``guards.limits().max_fme_constraints``.
 
-Representation matters here: constraints are normalized to coprime
-*integer* coefficients on construction (any positive rational scaling
-preserves a ``>= 0`` constraint), which keeps the hot elimination loop
-in machine-int arithmetic — no :class:`~fractions.Fraction` division —
-and makes scalar multiples of the same hyperplane collapse in the
-dedup pass.  Variables are eliminated cheapest-first (fewest
-positive×negative row combinations), which defers — and usually
-avoids — the quadratic constraint blowup a fixed order runs into on
-mod/div-heavy subscripts.
+Rows are normalized to coprime *integer* coefficients on construction
+(any positive rational scaling preserves a ``>= 0`` constraint), which
+keeps the hot elimination loop in machine-int arithmetic — no
+:class:`~fractions.Fraction` division — and makes scalar multiples of
+the same hyperplane collapse in the dedup pass.  Variables are
+eliminated cheapest-first (fewest positive×negative row combinations),
+which defers — and usually avoids — the quadratic blowup a fixed order
+runs into on mod/div-heavy subscripts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-#: Safety valve against FM blowup; beyond this we give up and report
-#: "feasible" (conservative for dependence testing).
-MAX_CONSTRAINTS = 4000
+from repro.expr.nodes import Expr, Max, Min
+from repro.resilience import guards as _guards
 
 
 class LinConstraint:
@@ -80,8 +83,15 @@ class LinConstraint:
         self.const: int = const
         self.equality = equality
 
-    def key(self):
-        return (tuple(sorted(self.coeffs.items())), self.const, self.equality)
+    @classmethod
+    def exact(cls, coeffs: Dict[str, int], const: int) -> "LinConstraint":
+        """The inequality with these integer coefficients, kept as given
+        (no gcd division)."""
+        row = cls.__new__(cls)
+        row.coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        row.const = const
+        row.equality = False
+        return row
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))
@@ -89,16 +99,37 @@ class LinConstraint:
         return f"LinConstraint({terms} + {self.const} {op} 0)"
 
 
+def bound_rows(bound: Expr, name: str, is_lower: bool,
+               lift: Callable) -> List[LinConstraint]:
+    """Rows for ``name >= bound`` (*is_lower*) or ``name <= bound``.
+
+    A ``max`` lower bound or a ``min`` upper bound gives one row per
+    term.  *lift* maps a term to ``(coeffs, const)``; a term it maps to
+    None contributes no row.
+    """
+    terms = bound.args if isinstance(bound, Max if is_lower else Min) \
+        else (bound,)
+    sign = -1 if is_lower else 1
+    rows = []
+    for term in terms:
+        lifted = lift(term)
+        if lifted is None:
+            continue
+        coeffs, const = lifted
+        coeffs = {v: sign * c for v, c in coeffs.items()}
+        coeffs[name] = coeffs.get(name, 0) - sign
+        rows.append(LinConstraint(coeffs, sign * const))
+    return rows
+
+
 class LinearSystem:
     """A mutable collection of constraints over named rational variables."""
 
-    def __init__(self):
-        self.constraints: List[LinConstraint] = []
+    def __init__(self, constraints: Sequence[LinConstraint] = ()):
+        self.constraints: List[LinConstraint] = list(constraints)
 
     def copy(self) -> "LinearSystem":
-        out = LinearSystem()
-        out.constraints = list(self.constraints)
-        return out
+        return LinearSystem(self.constraints)
 
     # -- building ----------------------------------------------------------
 
@@ -117,14 +148,6 @@ class LinearSystem:
     def add_eq(self, coeffs, const) -> None:
         self.add(coeffs, const, equality=True)
 
-    def variables(self) -> List[str]:
-        seen: List[str] = []
-        for c in self.constraints:
-            for v in c.coeffs:
-                if v not in seen:
-                    seen.append(v)
-        return seen
-
     # -- solving -----------------------------------------------------------
 
     def _as_inequalities(self) -> List[LinConstraint]:
@@ -140,19 +163,8 @@ class LinearSystem:
 
     def is_feasible(self) -> bool:
         """Rational feasibility via Fourier–Motzkin; conservative ``True``
-        when the elimination grows past :data:`MAX_CONSTRAINTS`."""
-        ineqs = _dedupe(self._as_inequalities())
-        while True:
-            live = {v for c in ineqs for v in c.coeffs}
-            if not live:
-                return True
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live))
-            if ineqs is None:
-                return True  # gave up: assume feasible
-            for c in ineqs:
-                if not c.coeffs and c.const < 0:
-                    return False
-            ineqs = [c for c in ineqs if c.coeffs]
+        when the elimination outgrows the cap."""
+        return _project(self._as_inequalities()) is not None
 
     def bounds_of(self, name: str) -> Tuple[Optional[Fraction],
                                             Optional[Fraction]]:
@@ -162,24 +174,11 @@ class LinearSystem:
         up).  An infeasible system returns ``(None, None)``; callers
         should check :meth:`is_feasible` first when it matters.
         """
-        ineqs = _dedupe(self._as_inequalities())
-        while True:
-            live = {v for c in ineqs for v in c.coeffs} - {name}
-            if not live:
-                break
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live))
-            if ineqs is None:
-                return None, None
-            for c in ineqs:
-                if not c.coeffs and c.const < 0:
-                    return None, None
-            ineqs = [c for c in ineqs if c.coeffs]
+        rows = _project(self._as_inequalities(), keep=name)
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
-        for c in ineqs:
-            a = c.coeffs.get(name, 0)
-            if a == 0:
-                continue
+        for c in rows or ():
+            a = c.coeffs[name]
             bound = Fraction(-c.const, a)
             if a > 0:  # name >= bound
                 lo = bound if lo is None else max(lo, bound)
@@ -188,15 +187,43 @@ class LinearSystem:
         return lo, hi
 
 
+def _project(ineqs: List[LinConstraint],
+             keep: Optional[str] = None) -> Optional[List[LinConstraint]]:
+    """Eliminate every variable but *keep*, cheapest first.
+
+    Returns the rows left over *keep*, or None as soon as a
+    variable-free row is false (the system is infeasible).  Past the cap
+    the projection gives up by dropping every row: the relaxation that
+    reads as feasible and unbounded.
+    """
+    ineqs = _dedupe(ineqs)
+    while True:
+        live: Set[str] = set()
+        rows = []
+        for c in ineqs:
+            if c.coeffs:
+                live.update(c.coeffs)
+                rows.append(c)
+            elif c.const < 0:
+                return None
+        live.discard(keep)
+        if not live:
+            return rows
+        ineqs = _eliminate(rows, _cheapest_var(rows, live))
+        if ineqs is None:
+            return []
+
+
 def _dedupe(ineqs: List[LinConstraint]) -> List[LinConstraint]:
-    seen = set()
-    out = []
+    """One inequality per coefficient vector: of the rows sharing one,
+    the smallest constant implies the others."""
+    best: Dict[Tuple, LinConstraint] = {}
     for c in ineqs:
-        k = c.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(c)
-    return out
+        k = tuple(sorted(c.coeffs.items()))
+        old = best.get(k)
+        if old is None or c.const < old.const:
+            best[k] = c
+    return list(best.values())
 
 
 def _cheapest_var(ineqs: Sequence[LinConstraint],
@@ -204,7 +231,7 @@ def _cheapest_var(ineqs: Sequence[LinConstraint],
     """The candidate whose elimination creates the fewest combined rows
     (Fourier–Motzkin's classic min ``|pos|*|neg|`` heuristic); ties
     break alphabetically so elimination order — and therefore the
-    give-up behavior near :data:`MAX_CONSTRAINTS` — is deterministic."""
+    give-up behavior near the cap — is deterministic."""
     counts: Dict[str, List[int]] = {}
     for c in ineqs:
         for v, a in c.coeffs.items():
@@ -222,14 +249,17 @@ def _cheapest_var(ineqs: Sequence[LinConstraint],
     return best
 
 
-def _eliminate(ineqs: List[LinConstraint],
-               name: str) -> Optional[List[LinConstraint]]:
-    """One FM step; None signals a blowup give-up.
+def _eliminate(ineqs: List[LinConstraint], name: str,
+               make: Callable[[Dict[str, int], int], LinConstraint]
+               = LinConstraint) -> Optional[List[LinConstraint]]:
+    """One FM step: project *name* out of the inequalities *ineqs*.
 
+    None signals a give-up: the step would hold more rows than
+    ``guards.limits().max_fme_constraints`` (REPRO_MAX_FME_CONSTRAINTS).
     Combination is by integer cross-multiplication — ``aq*p + ap*q``
     instead of ``p/ap + q/aq`` — so no rational arithmetic happens
-    here; the constructor renormalizes each combined row to coprime
-    integers.
+    here; *make* builds each combined row (by default renormalized to
+    coprime integers).
     """
     kept, pos, neg = [], [], []
     for c in ineqs:
@@ -240,7 +270,7 @@ def _eliminate(ineqs: List[LinConstraint],
             pos.append(c)
         else:
             neg.append(c)
-    if len(pos) * len(neg) + len(kept) > MAX_CONSTRAINTS:
+    if len(pos) * len(neg) + len(kept) > _guards.limits().max_fme_constraints:
         return None
     for p in pos:
         ap = p.coeffs[name]
@@ -253,5 +283,5 @@ def _eliminate(ineqs: List[LinConstraint],
             for v, c in q.coeffs.items():
                 if v != name:
                     coeffs[v] = coeffs.get(v, 0) + ap * c
-            kept.append(LinConstraint(coeffs, aq * p.const + ap * q.const))
+            kept.append(make(coeffs, aq * p.const + ap * q.const))
     return _dedupe(kept)

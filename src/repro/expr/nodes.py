@@ -266,7 +266,7 @@ def var(name: str) -> Var:
     return Var(name)
 
 
-def _split_coeff(e: Expr) -> Tuple[int, Optional[Expr]]:
+def split_coeff(e: Expr) -> Tuple[int, Optional[Expr]]:
     """Split *e* into (integer coefficient, residual factor or None)."""
     if isinstance(e, Const):
         return e.value, None
@@ -297,7 +297,7 @@ def add(*terms) -> Expr:
     buckets: Dict[Expr, int] = {}
     order = []
     for t in flat:
-        c, rest = _split_coeff(t)
+        c, rest = split_coeff(t)
         if rest is None:
             constant += c
             continue
@@ -397,7 +397,7 @@ def floordiv(a, b) -> Expr:
         # (c*e) / b when b divides every additive coefficient exactly is
         # not safe in general (floor of sum != sum of floors), so we only
         # fold the all-constant case and exact single products.
-        c, rest = _split_coeff(a)
+        c, rest = split_coeff(a)
         if rest is not None and c % b.value == 0:
             return mul(Const(c // b.value), rest)
     if a == b:
@@ -419,7 +419,7 @@ def ceildiv(a, b) -> Expr:
         if (b.value > 0 and isinstance(a, CeilDiv) and
                 isinstance(a.den, Const) and a.den.value > 0):
             return ceildiv(a.num, Const(a.den.value * b.value))
-        c, rest = _split_coeff(a)
+        c, rest = split_coeff(a)
         if rest is not None and c % b.value == 0:
             return mul(Const(c // b.value), rest)
     if a == b:
@@ -515,7 +515,7 @@ def call(func: str, *args) -> Expr:
         return Const(_FOLDABLE_CALLS[func](*[a.value for a in cargs]))
     if func == "abs" and len(cargs) == 1:
         # abs(-e) == abs(e); normalize the sign of the leading coefficient.
-        c, rest = _split_coeff(cargs[0])
+        c, rest = split_coeff(cargs[0])
         if c < 0:
             cargs = (mul(Const(-c), rest) if rest is not None else Const(-c),)
     return Call(func, cargs)
@@ -668,7 +668,7 @@ def _render(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Add):
         # Show positive-coefficient terms first so "jj - ii" never prints
         # as "(-1)*ii + jj"; the order is cosmetic only.
-        split = [(_split_coeff(t), t) for t in e.terms]
+        split = [(split_coeff(t), t) for t in e.terms]
         display = ([p for p in split if p[0][0] >= 0] +
                    [p for p in split if p[0][0] < 0])
         parts = []
@@ -685,7 +685,7 @@ def _render(e: Expr, parent_prec: int) -> str:
         s = "".join(parts)
         return f"({s})" if parent_prec > _PREC_ADD else s
     if isinstance(e, Mul):
-        c, rest = _split_coeff(e)
+        c, rest = split_coeff(e)
         if c < 0 and rest is not None:
             pos = rest if c == -1 else _raw_mul(-c, rest)
             s = "-" + _render(pos, _PREC_MUL)

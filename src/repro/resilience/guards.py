@@ -20,6 +20,12 @@ first use)::
     REPRO_MAX_FRAME_BYTES       service NDJSON frame size    (1_000_000)
     REPRO_MAX_RSS_MB            soft RSS ceiling, MB          (disabled)
 
+The Fourier–Motzkin limit governs both halves of the one FM core
+(:mod:`repro.deps.analysis.linear_system`): past it the dependence
+analyzer answers "feasible" (a conservative dependence) and the
+Unimodular bounds scanner raises a typed
+:class:`~repro.util.errors.CodegenError`.
+
 The RSS guard is *soft*: it is checked between requests (the service
 consults :func:`check_rss` before dispatching), so one request may
 overshoot, but the next one is refused with a typed error instead of

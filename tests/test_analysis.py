@@ -94,6 +94,17 @@ class TestLinearSystem:
         lo, hi = s.bounds_of("x")
         assert lo == 3 and hi is None
 
+    def test_variable_free_false_row_is_infeasible(self):
+        s = LinearSystem()
+        s.add_ge({}, -1)                                     # 0 >= 1
+        assert not s.is_feasible()
+
+    def test_bounds_of_with_variable_free_false_row(self):
+        s = LinearSystem()
+        s.add_ge({"x": Fraction(1)}, 0)                      # x >= 0
+        s.add_ge({}, -1)                                     # 0 >= 1
+        assert s.bounds_of("x") == (None, None)
+
 
 class TestAnalyzeKnownNests:
     def test_stencil(self, stencil_nest):

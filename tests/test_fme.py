@@ -1,5 +1,6 @@
-"""Direct tests for the symbolic Fourier–Motzkin machinery, including a
-property test scanning random integer polyhedra."""
+"""Direct tests for the symbolic polyhedron scanner (rows lifted onto the
+shared Fourier–Motzkin core), including property tests scanning random
+integer polyhedra with constant and with symbolic bounds."""
 
 import itertools
 import random
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fme import (
-    Constraint,
+    Lifter,
     constraint_from_bound,
     remove_redundant,
     scan_bounds,
+    scan_row,
     transform_constraints,
 )
-from repro.expr.nodes import Const, add, evaluate, mul, var, vmax, vmin
+from repro.deps.analysis.linear_system import LinConstraint
+from repro.expr.nodes import Const, evaluate, var, vmax, vmin
 from repro.expr.parser import parse_expr
 from repro.util.errors import CodegenError
 from repro.util.matrices import IntMatrix
@@ -22,53 +25,66 @@ from repro.util.matrices import IntMatrix
 
 class TestConstraint:
     def test_normalized_divides_by_gcd(self):
-        c = Constraint([2, 4], Const(6)).normalized()
-        assert c.coeffs == (1, 2)
-        assert c.rest == Const(3)
+        c = scan_row({"x": 2, "y": 4}, 6)
+        assert c.coeffs == {"x": 1, "y": 2}
+        assert c.const == 3
 
     def test_normalized_floor_tightens(self):
         # 2x + 3 >= 0  <=>  x >= -3/2  <=>  x >= -1  <=>  x + 1 >= 0 ... as
         # floor(3/2) = 1.
-        c = Constraint([2], Const(3)).normalized()
-        assert c.coeffs == (1,) and c.rest == Const(1)
+        c = scan_row({"x": 2}, 3)
+        assert c.coeffs == {"x": 1} and c.const == 1
 
     def test_symbolic_rest_not_divided(self):
-        c = Constraint([2, 4], var("n")).normalized()
-        assert c.coeffs == (2, 4)
+        c = scan_row({"x": 2, "y": 4, "inv$n": 1}, 0)
+        assert c.coeffs == {"x": 2, "y": 4, "inv$n": 1}
+        # Not even when the gcd divides the invariant part too.
+        c = scan_row({"x": 2, "inv$n": 2}, 4)
+        assert c.coeffs == {"x": 2, "inv$n": 2} and c.const == 4
 
     def test_trivial(self):
-        assert Constraint([0, 0], Const(1)).is_trivial()
-        assert not Constraint([1, 0], Const(1)).is_trivial()
+        # Index-free input rows: a true constant is dropped, a false one
+        # empties the nest, a symbolic one cannot become a loop bound.
+        box = [scan_row({"x": 1}, 0), scan_row({"x": -1}, 3)]
+        assert (scan_bounds(box + [LinConstraint({}, 1)], ["x"], Lifter())
+                == scan_bounds(box, ["x"], Lifter()))
+        (lo, hi), = scan_bounds(box + [LinConstraint({}, -1)], ["x"],
+                                 Lifter())
+        assert evaluate(lo, {}) > evaluate(hi, {})
+        with pytest.raises(CodegenError, match="variable-free"):
+            scan_bounds(box + [LinConstraint({"inv$n": 1}, 0)], ["x"],
+                        Lifter())
 
 
 class TestConstraintFromBound:
     def test_lower(self):
         [c] = constraint_from_bound(parse_expr("2*i + 1"), ["i", "j"], 1,
-                                    is_lower=True)
+                                    True, Lifter())
         # j - (2i + 1) >= 0
-        assert c.coeffs == (-2, 1)
-        assert c.rest == Const(-1)
+        assert c.coeffs == {"i": -2, "j": 1}
+        assert c.const == -1
 
     def test_upper(self):
+        lifter = Lifter()
         [c] = constraint_from_bound(parse_expr("n - 1"), ["i"], 0,
-                                    is_lower=False)
-        assert c.coeffs == (-1,)
-        assert str(c.rest) == "n - 1"
+                                    False, lifter)
+        assert c.coeffs == {"i": -1, "inv$n": 1}
+        assert str(lifter.expr({"inv$n": 1}, c.const)) == "n - 1"
 
     def test_max_lower_splits(self):
         cs = constraint_from_bound(vmax(var("i"), Const(2)), ["i", "j"], 1,
-                                   is_lower=True)
+                                   True, Lifter())
         assert len(cs) == 2
 
     def test_min_upper_splits(self):
         cs = constraint_from_bound(vmin(var("n"), Const(100)), ["i"], 0,
-                                   is_lower=False)
+                                   False, Lifter())
         assert len(cs) == 2
 
     def test_nonaffine_rejected(self):
         with pytest.raises(CodegenError):
             constraint_from_bound(parse_expr("sqrt(i)"), ["i", "j"], 1,
-                                  is_lower=True)
+                                  True, Lifter())
 
 
 class TestTransformConstraints:
@@ -76,31 +92,34 @@ class TestTransformConstraints:
         # x0 >= 0 under y = [[1,1],[0,1]] x: x = [[1,-1],[0,1]] y, so the
         # constraint becomes y0 - y1 >= 0.
         m = IntMatrix([[1, 1], [0, 1]])
-        out = transform_constraints([Constraint([1, 0], Const(0))],
-                                    m.inverse_unimodular())
-        assert out[0].coeffs == (1, -1)
+        out = transform_constraints([scan_row({"x0": 1}, 0)],
+                                    m.inverse_unimodular(), ["x0", "x1"],
+                                    ["y0", "y1"])
+        assert out[0].coeffs == {"y0": 1, "y1": -1}
 
 
 class TestRemoveRedundant:
     def test_implied_constraint_dropped(self):
         # x <= y, y <= n  =>  x <= n is redundant.
         cs = [
-            Constraint([-1, 1], Const(0)),        # y - x >= 0
-            Constraint([0, -1], var("n")),        # n - y >= 0
-            Constraint([-1, 0], var("n")),        # n - x >= 0 (implied)
+            scan_row({"x": -1, "y": 1}, 0),        # y - x >= 0
+            scan_row({"y": -1, "inv$n": 1}, 0),    # n - y >= 0
+            scan_row({"x": -1, "inv$n": 1}, 0),    # n - x >= 0 (implied)
         ]
         kept = remove_redundant(cs)
         assert len(kept) == 2
-        assert all(c.coeffs != (-1, 0) for c in kept)
+        assert all(c.coeffs != {"x": -1, "inv$n": 1} for c in kept)
 
     def test_nothing_dropped_when_independent(self):
-        cs = [Constraint([1, 0], Const(0)), Constraint([0, 1], Const(0))]
+        cs = [scan_row({"x": 1}, 0), scan_row({"y": 1}, 0)]
         assert len(remove_redundant(cs)) == 2
 
     def test_opaque_rests_are_safe(self):
         # Different opaque invariant parts cannot imply each other.
-        cs = [Constraint([-1], parse_expr("f(n)")),
-              Constraint([-1], parse_expr("g(n)"))]
+        lifter = Lifter()
+        cs = [row for text in ("f(n)", "g(n)")
+              for row in constraint_from_bound(parse_expr(text), ["x"], 0,
+                                               False, lifter)]
         assert len(remove_redundant(cs)) == 2
 
 
@@ -108,14 +127,16 @@ class TestScanBounds:
     def test_fig1_bounds(self):
         # The stencil square [2, n-1]^2 under y = [[1,1],[1,0]] x.
         names = ["i", "j"]
+        lifter = Lifter()
         cs = []
         for k in range(2):
-            cs += constraint_from_bound(Const(2), names, k, is_lower=True)
+            cs += constraint_from_bound(Const(2), names, k, True, lifter)
             cs += constraint_from_bound(parse_expr("n - 1"), names, k,
-                                        is_lower=False)
+                                        False, lifter)
         m = IntMatrix([[1, 1], [1, 0]])
-        out = transform_constraints(cs, m.inverse_unimodular())
-        bounds = scan_bounds(out, ["jj", "ii"])
+        out = transform_constraints(cs, m.inverse_unimodular(), names,
+                                    ["jj", "ii"])
+        bounds = scan_bounds(out, ["jj", "ii"], lifter)
         assert str(bounds[0][0]) == "4"
         assert str(bounds[0][1]) == "2*n - 2"
         assert str(bounds[1][0]) == "max(jj + 1 - n, 2)"
@@ -123,31 +144,28 @@ class TestScanBounds:
 
     def test_unbounded_raises(self):
         with pytest.raises(CodegenError):
-            scan_bounds([Constraint([1], Const(0))], ["x"])  # no upper
+            scan_bounds([scan_row({"x": 1}, 0)], ["x"], Lifter())  # no upper
 
     def test_empty_polyhedron_yields_empty_loop(self):
         # x >= 5, x <= 3: scannable, just empty at run time.
-        cs = [Constraint([1], Const(-5)), Constraint([-1], Const(3))]
-        (lo, hi), = scan_bounds(cs, ["x"])
+        cs = [scan_row({"x": 1}, -5), scan_row({"x": -1}, 3)]
+        (lo, hi), = scan_bounds(cs, ["x"], Lifter())
         assert evaluate(lo, {}) > evaluate(hi, {})
 
 
-def _brute_points(constraints, box):
+def _brute_points(rows, names, box, values):
+    """Integer points of the box satisfying every row, where *values*
+    gives each non-index row variable (``inv$n``, ``opq$k``)."""
     pts = []
     for p in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        ok = True
-        for c in constraints:
-            total = sum(a * x for a, x in zip(c.coeffs, p))
-            total += c.rest.value
-            if total < 0:
-                ok = False
-                break
-        if ok:
+        env = dict(zip(names, p), **values)
+        if all(sum(a * env[v] for v, a in row.coeffs.items()) + row.const
+               >= 0 for row in rows):
             pts.append(p)
     return pts
 
 
-def _scan_points(bounds, names):
+def _scan_points(bounds, names, symbols=None):
     """Enumerate the generated loop nest's points."""
     out = []
 
@@ -163,8 +181,31 @@ def _scan_points(bounds, names):
             rec(level + 1, env)
         env.pop(names[level], None)
 
-    rec(0, {})
+    rec(0, dict(symbols or {}))
     return out
+
+
+def _random_rows(rng, names, extra=()):
+    """A random bounding box plus a few cutting planes; *extra* names
+    row variables that get random coefficients in the cutting planes
+    and in the box's upper bounds."""
+    rows = []
+    box = []
+    for nm in names:
+        lo = rng.randint(-3, 2)
+        hi = lo + rng.randint(0, 5)
+        box.append((lo, hi))
+        rows.append(scan_row({nm: 1}, -lo))
+        upper = {nm: -1}
+        for v in extra:
+            upper[v] = rng.randint(0, 1)
+        rows.append(scan_row(upper, hi))
+    for _ in range(rng.randint(0, 3)):
+        coeffs = {nm: rng.randint(-2, 2) for nm in names}
+        for v in extra:
+            coeffs[v] = rng.randint(-2, 2)
+        rows.append(scan_row(coeffs, rng.randint(-3, 6)))
+    return rows, box
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,31 +214,34 @@ def test_scan_matches_polyhedron_enumeration(seed):
     """Property: scanning a random bounded 2-D/3-D integer polyhedron
     visits exactly its integer points, in lexicographic order."""
     rng = random.Random(seed)
-    dim = rng.choice([2, 3])
-    names = [f"v{k}" for k in range(dim)]
-    # A bounding box keeps everything finite...
-    constraints = []
-    box = []
-    for k in range(dim):
-        lo = rng.randint(-3, 2)
-        hi = lo + rng.randint(0, 5)
-        box.append((lo, hi))
-        cs = [0] * dim
-        cs[k] = 1
-        constraints.append(Constraint(cs, Const(-lo)))
-        cs2 = [0] * dim
-        cs2[k] = -1
-        constraints.append(Constraint(cs2, Const(hi)))
-    # ... plus a few random cutting planes.
-    for _ in range(rng.randint(0, 3)):
-        coeffs = [rng.randint(-2, 2) for _ in range(dim)]
-        constraints.append(Constraint(coeffs, Const(rng.randint(-3, 6))))
+    names = [f"v{k}" for k in range(rng.choice([2, 3]))]
+    rows, box = _random_rows(rng, names)
+    expected = sorted(_brute_points(rows, names, box, {}))
+    bounds = scan_bounds(rows, names, Lifter())
+    assert _scan_points(bounds, names) == expected
 
-    expected = sorted(_brute_points(constraints, box))
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_scan_matches_symbolic_polyhedron_enumeration(seed):
+    """Property: with the invariant ``n`` and the opaque ``div(n, 2)`` in
+    the rows, the scanned nest — lifted rows mapped back to bound
+    expressions — visits exactly the polyhedron's integer points at
+    every concrete ``n``."""
+    rng = random.Random(seed)
+    names = [f"v{k}" for k in range(rng.choice([2, 3]))]
+    lifter = Lifter()
+    coeffs, _ = lifter.lift(parse_expr("n + div(n, 2)"), names)
+    inv, opq = sorted(coeffs)
+    rows, box = _random_rows(rng, names, extra=(inv, opq))
     try:
-        bounds = scan_bounds(constraints, names)
-    except CodegenError:
-        # Unbounded can't happen (box); only blowup guard, which we accept.
+        bounds = scan_bounds(rows, names, lifter)
+    except CodegenError as exc:
+        # A cutting plane over n alone cannot become a loop bound.
+        assert "variable-free symbolic constraint" in str(exc)
         return
-    got = _scan_points(bounds, names)
-    assert got == expected
+    for n in range(0, 5):
+        values = {inv: n, opq: n // 2}
+        wide = [(lo, hi + n + n // 2) for lo, hi in box]
+        expected = sorted(_brute_points(rows, names, wide, values))
+        assert _scan_points(bounds, names, {"n": n}) == expected

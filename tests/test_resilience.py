@@ -230,6 +230,39 @@ def test_iteration_guard_is_typed():
         run_compiled(parse_nest(STENCIL), {}, symbols={"n": 50})
 
 
+TRANSPOSE_TRIANGLE = """
+do i = 1, n
+  do j = i + 1, n
+    a(i, j) = a(j, i)
+  enddo
+enddo
+"""
+
+
+def test_fme_cap_rejects_unimodular_legality():
+    """Past the one Fourier-Motzkin cap the bounds scanner gives up: the
+    Unimodular step is rejected with a reason naming the blow-up."""
+    nest = parse_nest(STENCIL)
+    deps = analyze(nest)
+    T = parse_steps("skew(2,1); interchange(1,2)", nest.depth)
+    assert T.legality(nest, deps).legal
+    guards.set_limits(guards.GuardLimits(max_fme_constraints=3))
+    report = T.legality(nest, deps)
+    assert not report.legal
+    assert "Fourier-Motzkin blowup" in report.reason
+    assert "REPRO_MAX_FME_CONSTRAINTS" in report.reason
+
+
+def test_fme_cap_keeps_dependences_conservatively():
+    """Past the same cap the analyzer's FM test gives up as "feasible":
+    the pair FM refutes at the default limit keeps its dependence."""
+    nest = parse_nest(TRANSPOSE_TRIANGLE)
+    assert analyze(nest).is_empty()  # FM proves a(i,j) / a(j,i) disjoint
+    guards.set_limits(guards.GuardLimits(max_fme_constraints=2))
+    assert analyze(nest) == analyze(nest, level="banerjee")
+    assert not analyze(nest).is_empty()
+
+
 def test_deep_input_never_raises_raw_recursion_error():
     """The headline guard property: absurd nesting comes back typed."""
     deep = "(" * 5000 + "i" + ")" * 5000

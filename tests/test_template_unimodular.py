@@ -171,6 +171,21 @@ class TestUnboundedPolyhedron:
             nest, depset(), check=False)
 
 
+class TestEmptyPolyhedron:
+    def test_empty_inner_loop_scans_to_empty_nest(self):
+        # j = 5, 3 never runs, so the whole nest is empty for every n.
+        # Every bound row of i is implied by that contradiction; the
+        # scanner must emit an empty nest, not drop i's rows and call it
+        # unbounded.
+        nest = parse_nest("do i = 1, n\n do j = 5, 3\n  a(i, j) = 1\n"
+                          " enddo\nenddo")
+        T = Transformation.of(Unimodular(2, [[1, 1], [1, 0]]))
+        assert T.legality(nest, depset()).legal
+        out = T.apply(nest, depset())
+        result = run_nest(out, {"a": {}}, symbols={"n": 4})
+        assert result.body_count == 0
+
+
 class TestRandomUnimodularOracle:
     """The strongest codegen test: for random unimodular matrices, the
     generated nest must visit exactly the same iterations in the order
